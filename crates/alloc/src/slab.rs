@@ -468,7 +468,7 @@ mod tests {
     fn striped_allocations_span_nodes() {
         let a = alloc4();
         let addr = a.alloc(16 * PAGE, AllocHint::Striped).unwrap();
-        let map = a.fabric().map().clone();
+        let map = *a.fabric().map();
         let mut nodes = std::collections::HashSet::new();
         for p in 0..16 {
             nodes.insert(map.node_of(addr.offset(p * PAGE)));

@@ -26,6 +26,14 @@ fn bench_verbs(c: &mut Criterion) {
     g.bench_function("read_1k", |b| {
         b.iter(|| black_box(client.read(FarAddr(4096), 1024).unwrap()))
     });
+    // Starts and ends mid-word: one partial head and one partial tail word.
+    g.bench_function("read_1k_unaligned", |b| {
+        b.iter(|| black_box(client.read(FarAddr(4099), 1024).unwrap()))
+    });
+    let block = [5u8; 1024];
+    g.bench_function("write_1k", |b| {
+        b.iter(|| client.write(FarAddr(65536), black_box(&block)).unwrap())
+    });
     g.bench_function("cas", |b| {
         b.iter(|| black_box(client.cas(FarAddr(4104), 0, 0).unwrap()))
     });

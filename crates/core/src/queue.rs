@@ -145,9 +145,9 @@ impl FarQueue {
             .fabric()
             .map()
             .segments(slots_base, (cfg.n_slots + slack_slots) * WORD)
-            .map(|segs| {
+            .map(|mut segs| {
                 let hdr_node = client.fabric().map().node_of(hdr);
-                segs.iter().all(|s| s.node == hdr_node)
+                segs.all(|s| s.node == hdr_node)
             })
             .unwrap_or(false);
         if !one_node {

@@ -96,7 +96,7 @@ pub struct Segment {
 }
 
 /// The concrete mapping of the global address space for one fabric.
-#[derive(Clone, Debug)]
+#[derive(Clone, Copy, Debug)]
 pub struct AddressMap {
     nodes: u32,
     node_capacity: u64,
@@ -201,26 +201,58 @@ impl AddressMap {
     }
 
     /// Splits `[addr, addr+len)` into per-node contiguous segments, in
-    /// address order.
-    pub fn segments(&self, addr: FarAddr, len: u64) -> Result<Vec<Segment>> {
+    /// address order. The split is computed lazily as the iterator is
+    /// walked, so executing a verb allocates nothing for it.
+    pub fn segments(&self, addr: FarAddr, len: u64) -> Result<Segments> {
         self.check(addr, len)?;
-        let mut out = Vec::with_capacity(1);
-        let mut cur = addr.0;
-        let end = addr.0 + len;
-        while cur < end {
-            let (node, offset) = self.locate(FarAddr(cur));
-            // Length until the next mapping discontinuity.
-            let run = match self.striping {
-                Striping::Blocked => self.node_capacity - cur % self.node_capacity,
-                Striping::Striped { stripe } => stripe - cur % stripe,
-            };
-            let take = run.min(end - cur);
-            out.push(Segment { node, offset, len: take, addr: FarAddr(cur) });
-            cur += take;
-        }
-        Ok(out)
+        let unit = match self.striping {
+            Striping::Blocked => self.node_capacity,
+            Striping::Striped { stripe } => stripe,
+        };
+        Ok(Segments { map: *self, unit, cur: addr.0, end: addr.0 + len })
     }
 }
+
+/// Iterator over the per-node segments of one range, returned by
+/// [`AddressMap::segments`].
+#[derive(Clone, Debug)]
+pub struct Segments {
+    map: AddressMap,
+    /// Length of a mapping-contiguous run: the node capacity when blocked,
+    /// the stripe when striped.
+    unit: u64,
+    cur: u64,
+    end: u64,
+}
+
+impl Iterator for Segments {
+    type Item = Segment;
+
+    #[inline]
+    fn next(&mut self) -> Option<Segment> {
+        if self.cur >= self.end {
+            return None;
+        }
+        let (node, offset) = self.map.locate(FarAddr(self.cur));
+        // Length until the next mapping discontinuity.
+        let take = (self.unit - self.cur % self.unit).min(self.end - self.cur);
+        let seg = Segment { node, offset, len: take, addr: FarAddr(self.cur) };
+        self.cur += take;
+        Some(seg)
+    }
+
+    #[inline]
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        let n = if self.cur >= self.end {
+            0
+        } else {
+            ((self.end - 1) / self.unit - self.cur / self.unit + 1) as usize
+        };
+        (n, Some(n))
+    }
+}
+
+impl ExactSizeIterator for Segments {}
 
 #[cfg(test)]
 mod tests {
@@ -256,7 +288,7 @@ mod tests {
     #[test]
     fn segments_split_on_stripe_boundaries() {
         let m = AddressMap::new(2, 1 << 20, Striping::Striped { stripe: PAGE });
-        let segs = m.segments(FarAddr(PAGE - 16), 32).unwrap();
+        let segs: Vec<Segment> = m.segments(FarAddr(PAGE - 16), 32).unwrap().collect();
         assert_eq!(segs.len(), 2);
         assert_eq!(segs[0].node, NodeId(0));
         assert_eq!(segs[0].len, 16);
@@ -270,6 +302,29 @@ mod tests {
         let m = AddressMap::new(2, 1 << 20, Striping::Blocked);
         let segs = m.segments(FarAddr(8), 4096).unwrap();
         assert_eq!(segs.len(), 1);
+        assert_eq!(segs.count(), 1);
+    }
+
+    #[test]
+    fn segments_tile_the_range_and_know_their_count() {
+        let maps = [
+            AddressMap::new(3, 4 * PAGE, Striping::Blocked),
+            AddressMap::new(3, 4 * PAGE, Striping::Striped { stripe: PAGE }),
+        ];
+        for m in maps {
+            for addr in (8..m.total_capacity()).step_by(1021) {
+                for len in [0, 1, 7, 8, PAGE - 1, PAGE, 3 * PAGE + 5] {
+                    let Ok(segs) = m.segments(FarAddr(addr), len) else { continue };
+                    assert_eq!(segs.len(), segs.clone().count(), "{addr} + {len}");
+                    let mut at = addr;
+                    for s in segs {
+                        assert_eq!((s.addr, (s.node, s.offset)), (FarAddr(at), m.locate(s.addr)));
+                        at += s.len;
+                    }
+                    assert_eq!(at, addr + len);
+                }
+            }
+        }
     }
 
     #[test]

@@ -620,10 +620,11 @@ impl FabricClient {
     ) -> Result<(Vec<u8>, u64)> {
         let cost = *self.fabric.cost();
         let segs = self.fabric.segments(addr, len)?;
+        let messages = segs.len() as u64;
         let mut buf = vec![0u8; len as usize];
         let mut finish = arrival;
         let mut done = 0usize;
-        for seg in &segs {
+        for seg in segs {
             let phys = self.route_read(seg.node);
             let node = self.fabric.node(phys);
             node.check_alive_at(arrival)?;
@@ -633,7 +634,7 @@ impl FabricClient {
             done += seg.len as usize;
             finish = finish.max(f);
         }
-        self.stats.messages += segs.len() as u64;
+        self.stats.messages += messages;
         self.stats.bytes_read += len;
         self.observe(crate::check::AccessKind::Read, addr, len);
         Ok((buf, finish))
@@ -645,9 +646,10 @@ impl FabricClient {
         let cost = *self.fabric.cost();
         let len = data.len() as u64;
         let segs = self.fabric.segments(addr, len)?;
+        let messages = segs.len() as u64;
         let mut finish = arrival;
         let mut done = 0usize;
-        for seg in &segs {
+        for seg in segs {
             let phys = self.route(seg.node);
             let node = self.fabric.node(phys);
             node.check_alive_at(arrival)?;
@@ -658,7 +660,7 @@ impl FabricClient {
             done += seg.len as usize;
             finish = finish.max(f);
         }
-        self.stats.messages += segs.len() as u64;
+        self.stats.messages += messages;
         self.stats.bytes_written += len;
         self.observe(crate::check::AccessKind::Write, addr, len);
         Ok(finish)
@@ -1005,9 +1007,9 @@ impl FabricClient {
         crate::notify::SubscriptionTable::validate_range(addr, len)?;
         self.retrying(|c| {
             c.begin_attempt()?;
-            let segs = c.fabric.segments(addr, len)?;
+            let mut segs = c.fabric.segments(addr, len)?;
             debug_assert_eq!(segs.len(), 1, "a page never spans nodes");
-            let seg = segs[0];
+            let seg = segs.next().expect("a validated range has a segment");
             // Subscriptions live on the current primary only; they do not
             // survive failover (best-effort, DESIGN.md §10).
             let phys = c.route(seg.node);

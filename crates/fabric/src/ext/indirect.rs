@@ -142,7 +142,7 @@ impl FabricClient {
             let peek = home.read_u64(ptr_off)?;
             if peek != 0 {
                 if let Ok(segs) = fabric.segments(FarAddr(peek + index), len) {
-                    for seg in &segs {
+                    for seg in segs {
                         let phys = self.route(seg.node);
                         fabric.node(phys).check_alive_at(arrival)?;
                     }
@@ -175,20 +175,19 @@ impl FabricClient {
                     return Ok(Unit::Null);
                 }
                 let target = FarAddr(ptr + index);
-                let segs = fabric2.segments(target, len)?;
-                if segs.iter().any(|s| s.node != home_id) {
+                let mut segs = fabric2.segments(target, len)?;
+                if let Some(remote) = segs.clone().find(|s| s.node != home_id) {
                     // Remote target: bump the pointer atomically; the
                     // target access happens outside the unit.
                     n.words_raw(ptr_off)?
                         .fetch_add(delta, std::sync::atomic::Ordering::SeqCst);
-                    let remote = segs.iter().find(|s| s.node != home_id).unwrap();
                     return Ok(Unit::Remote { ptr, target, node: remote.node });
                 }
                 // Local target: bump + access inside the unit.
                 n.words_raw(ptr_off)?
                     .fetch_add(delta, std::sync::atomic::Ordering::SeqCst);
-                let seg = segs[0];
                 debug_assert_eq!(segs.len(), 1, "single-node target is one segment");
+                let seg = segs.next().expect("a local target has a segment");
                 let (out, fired) = match &access {
                     TargetAccess::Read(l) => {
                         let mut buf = vec![0u8; *l as usize];
@@ -308,7 +307,7 @@ impl FabricClient {
             return Err(FabricError::NullDeref { pointer_at: ptr_addr });
         }
         let target = FarAddr(ptr + index);
-        let segs = match fabric.segments(target, len) {
+        let mut segs = match fabric.segments(target, len) {
             Ok(s) => s,
             Err(e) => {
                 self.finish_rt(home_finish);
@@ -317,14 +316,14 @@ impl FabricClient {
         };
 
         // §7.1: a dereferenced pointer may refer to data on a remote node.
-        let any_remote = segs.iter().any(|s| s.node != home_id);
-        if any_remote && mode == IndirectionMode::Error {
-            let remote = segs.iter().find(|s| s.node != home_id).unwrap();
-            self.finish_rt(home_finish);
-            return Err(FabricError::IndirectRemote {
-                target,
-                target_node: remote.node,
-            });
+        if mode == IndirectionMode::Error {
+            if let Some(remote) = segs.find(|s| s.node != home_id) {
+                self.finish_rt(home_finish);
+                return Err(FabricError::IndirectRemote {
+                    target,
+                    target_node: remote.node,
+                });
+            }
         }
         self.finish_at_target(ptr, target, len, access, home_id, arrival, home_finish)
     }
@@ -354,7 +353,7 @@ impl FabricClient {
             _ => None,
         };
         let mut done = 0usize;
-        for seg in &segs {
+        for seg in segs {
             let phys = self.route(seg.node);
             let node = fabric.node(phys);
             node.check_alive_at(arrival)?;

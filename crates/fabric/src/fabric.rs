@@ -10,7 +10,7 @@ use std::sync::{Arc, Mutex, RwLock};
 
 use std::collections::HashMap;
 
-use crate::addr::{AddressMap, FarAddr, NodeId, Segment, Striping};
+use crate::addr::{AddressMap, FarAddr, NodeId, Segments, Striping};
 use crate::check::CheckObserver;
 use crate::cost::CostModel;
 use crate::error::{FabricError, Result};
@@ -310,7 +310,7 @@ impl Fabric {
     }
 
     /// Splits a global range into per-node segments.
-    pub(crate) fn segments(&self, addr: FarAddr, len: u64) -> Result<Vec<Segment>> {
+    pub(crate) fn segments(&self, addr: FarAddr, len: u64) -> Result<Segments> {
         self.map.segments(addr, len)
     }
 
@@ -379,10 +379,6 @@ impl Fabric {
         }
         let cost = &self.config.cost;
         let primary = self.primary(g);
-        let mut buf = vec![0u8; len as usize];
-        if primary.read_bytes(offset, &mut buf).is_err() {
-            return fired_at_ns;
-        }
         let arrival = fired_at_ns + cost.mem_hop_ns;
         let service = cost.node_msg_ns + cost.bytes_ns(len);
         let mut finish = fired_at_ns;
@@ -394,7 +390,7 @@ impl Fabric {
                 groups.evict(g, r);
                 continue;
             }
-            let _ = node.write_bytes(offset, &buf);
+            let _ = node.copy_from(primary, offset, len);
             stats.messages += 1;
             stats.replica_messages += 1;
             finish = finish.max(node.occupy(arrival, service));

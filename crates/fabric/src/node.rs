@@ -391,84 +391,125 @@ impl MemoryNode {
         Ok(&self.words[i])
     }
 
+    /// Checks that `[offset, offset+len)` lies inside the node (without
+    /// overflowing, whatever the offset).
+    #[inline]
+    fn check_range(&self, offset: u64, len: u64) -> Result<()> {
+        match offset.checked_add(len) {
+            Some(end) if end <= self.capacity() => Ok(()),
+            _ => Err(FabricError::OutOfBounds { addr: crate::addr::FarAddr(offset), len }),
+        }
+    }
+
+    /// Stores `src` into bytes `at..at + src.len()` of word `i` without
+    /// disturbing the word's other bytes: a CAS loop that retries while
+    /// concurrent writers race the same word.
+    fn merge_word(&self, i: usize, at: usize, src: &[u8]) {
+        let slot = &self.words[i];
+        let mut cur = slot.load(Ordering::SeqCst);
+        loop {
+            let mut bytes = cur.to_le_bytes();
+            bytes[at..at + src.len()].copy_from_slice(src);
+            let new = u64::from_le_bytes(bytes);
+            match slot.compare_exchange_weak(cur, new, Ordering::SeqCst, Ordering::SeqCst) {
+                Ok(_) => return,
+                Err(actual) => cur = actual,
+            }
+        }
+    }
+
     /// Copies `buf.len()` bytes starting at node-local `offset` into `buf`.
     ///
-    /// Word-by-word copy: each aligned word is read atomically, but the
-    /// range as a whole is *not* a single atomic snapshot.
+    /// Word-by-word copy in ascending address order: each word is one
+    /// `SeqCst` load, but the range as a whole is *not* a single atomic
+    /// snapshot.
     pub fn read_bytes(&self, offset: u64, buf: &mut [u8]) -> Result<()> {
-        let len = buf.len() as u64;
-        if len == 0 {
+        if buf.is_empty() {
             return Ok(());
         }
-        if offset + len > self.capacity() {
-            return Err(FabricError::OutOfBounds {
-                addr: crate::addr::FarAddr(offset),
-                len,
-            });
+        self.check_range(offset, buf.len() as u64)?;
+        let mut i = (offset / WORD) as usize;
+        let head = (offset % WORD) as usize;
+        let mut buf = buf;
+        if head != 0 {
+            let take = (WORD as usize - head).min(buf.len());
+            let w = self.words[i].load(Ordering::SeqCst).to_le_bytes();
+            let (part, rest) = buf.split_at_mut(take);
+            part.copy_from_slice(&w[head..head + take]);
+            buf = rest;
+            i += 1;
         }
-        let mut done = 0u64;
-        while done < len {
-            let at = offset + done;
-            let word_base = at / WORD * WORD;
-            let in_word = (at - word_base) as usize;
-            let take = ((WORD as usize - in_word) as u64).min(len - done) as usize;
-            let w = self.words[(word_base / WORD) as usize].load(Ordering::SeqCst);
-            let bytes = w.to_le_bytes();
-            buf[done as usize..done as usize + take]
-                .copy_from_slice(&bytes[in_word..in_word + take]);
-            done += take as u64;
+        let full = buf.len() / WORD as usize;
+        let mut chunks = buf.chunks_exact_mut(WORD as usize);
+        for (dst, w) in (&mut chunks).zip(&self.words[i..i + full]) {
+            dst.copy_from_slice(&w.load(Ordering::SeqCst).to_le_bytes());
+        }
+        let tail = chunks.into_remainder();
+        if !tail.is_empty() {
+            let w = self.words[i + full].load(Ordering::SeqCst).to_le_bytes();
+            tail.copy_from_slice(&w[..tail.len()]);
         }
         Ok(())
     }
 
     /// Copies `data` into the node starting at node-local `offset`.
     ///
-    /// Fully covered words are stored atomically; partially covered edge
-    /// words merge via a CAS loop so that untouched neighbouring bytes are
-    /// preserved even under concurrent writers.
+    /// Word-by-word in ascending address order: fully covered words are
+    /// one `SeqCst` store each; partially covered edge words are merged by
+    /// [`merge_word`](Self::merge_word), so untouched neighbouring bytes
+    /// are preserved even under concurrent writers.
     pub fn write_bytes(&self, offset: u64, data: &[u8]) -> Result<()> {
-        let len = data.len() as u64;
+        if data.is_empty() {
+            return Ok(());
+        }
+        self.check_range(offset, data.len() as u64)?;
+        let mut i = (offset / WORD) as usize;
+        let head = (offset % WORD) as usize;
+        let mut data = data;
+        if head != 0 {
+            let take = (WORD as usize - head).min(data.len());
+            let (part, rest) = data.split_at(take);
+            self.merge_word(i, head, part);
+            data = rest;
+            i += 1;
+        }
+        let full = data.len() / WORD as usize;
+        let chunks = data.chunks_exact(WORD as usize);
+        let tail = chunks.remainder();
+        for (src, w) in chunks.zip(&self.words[i..i + full]) {
+            let v = u64::from_le_bytes(src.try_into().expect("chunks_exact yields whole words"));
+            w.store(v, Ordering::SeqCst);
+        }
+        if !tail.is_empty() {
+            self.merge_word(i + full, 0, tail);
+        }
+        Ok(())
+    }
+
+    /// Copies `[offset, offset+len)` of `src` into the same range of this
+    /// node, word by word in ascending order, with the copy contract of
+    /// [`read_bytes`](Self::read_bytes) on the source side and of
+    /// [`write_bytes`](Self::write_bytes) on this side. Replica mirroring
+    /// uses it to avoid staging the range in a buffer.
+    pub(crate) fn copy_from(&self, src: &MemoryNode, offset: u64, len: u64) -> Result<()> {
         if len == 0 {
             return Ok(());
         }
-        if offset + len > self.capacity() {
-            return Err(FabricError::OutOfBounds {
-                addr: crate::addr::FarAddr(offset),
-                len,
-            });
-        }
-        let mut done = 0u64;
-        while done < len {
-            let at = offset + done;
-            let word_base = at / WORD * WORD;
-            let in_word = (at - word_base) as usize;
-            let take = ((WORD as usize - in_word) as u64).min(len - done) as usize;
-            let slot = &self.words[(word_base / WORD) as usize];
-            let src = &data[done as usize..done as usize + take];
-            if take == WORD as usize {
-                let mut w = [0u8; 8];
-                w.copy_from_slice(src);
-                slot.store(u64::from_le_bytes(w), Ordering::SeqCst);
+        src.check_range(offset, len)?;
+        self.check_range(offset, len)?;
+        let end = offset + len;
+        for i in (offset / WORD) as usize..end.div_ceil(WORD) as usize {
+            // Bytes `lo..hi` of word `i` lie in the range: all eight
+            // except at a partial head or tail word.
+            let base = i as u64 * WORD;
+            let lo = offset.saturating_sub(base) as usize;
+            let hi = (end - base).min(WORD) as usize;
+            let w = src.words[i].load(Ordering::SeqCst);
+            if hi - lo == WORD as usize {
+                self.words[i].store(w, Ordering::SeqCst);
             } else {
-                // Merge the covered bytes into the word without disturbing
-                // the rest; retry if a concurrent writer races the word.
-                let mut cur = slot.load(Ordering::SeqCst);
-                loop {
-                    let mut bytes = cur.to_le_bytes();
-                    bytes[in_word..in_word + take].copy_from_slice(src);
-                    let neww = u64::from_le_bytes(bytes);
-                    match slot.compare_exchange_weak(
-                        cur,
-                        neww,
-                        Ordering::SeqCst,
-                        Ordering::SeqCst,
-                    ) {
-                        Ok(_) => break,
-                        Err(actual) => cur = actual,
-                    }
-                }
+                self.merge_word(i, lo, &w.to_le_bytes()[lo..hi]);
             }
-            done += take as u64;
         }
         Ok(())
     }
@@ -561,5 +602,32 @@ mod tests {
         let mut buf = [0u8; 16];
         assert!(n.read_bytes(n.capacity() - 8, &mut buf).is_err());
         assert!(n.write_bytes(n.capacity() - 8, &buf).is_err());
+    }
+
+    #[test]
+    fn byte_ranges_past_the_address_space_rejected() {
+        // `offset + len` overflows u64: must be OutOfBounds, not a panic.
+        let n = node();
+        let mut buf = [0u8; 16];
+        let oob = |r: Result<()>| matches!(r, Err(FabricError::OutOfBounds { .. }));
+        assert!(oob(n.read_bytes(u64::MAX - 7, &mut buf)));
+        assert!(oob(n.write_bytes(u64::MAX - 7, &buf)));
+        assert!(oob(n.read_bytes(u64::MAX, &mut buf[..1])));
+        assert!(oob(n.write_bytes(u64::MAX, &buf[..1])));
+    }
+
+    #[test]
+    fn copy_from_mirrors_only_the_range() {
+        let (src, dst) = (node(), node());
+        src.write_bytes(0, &[0xaa; 64]).unwrap();
+        dst.write_bytes(0, &[0x55; 64]).unwrap();
+        src.write_bytes(5, &(1..=40u8).collect::<Vec<_>>()).unwrap();
+        dst.copy_from(&src, 5, 40).unwrap();
+        let (mut a, mut b) = ([0u8; 64], [0u8; 64]);
+        src.read_bytes(0, &mut a).unwrap();
+        dst.read_bytes(0, &mut b).unwrap();
+        assert_eq!(b[5..45], a[5..45]);
+        assert!(b[..5].iter().chain(&b[45..]).all(|&x| x == 0x55));
+        assert!(dst.copy_from(&src, u64::MAX - 7, 16).is_err());
     }
 }

@@ -615,16 +615,15 @@ fn exec_faai_swap_guarded(
             return Ok(Unit::Null);
         }
         let target = FarAddr(ptr);
-        let segs = fabric2.segments(target, WORD)?;
-        if segs.iter().any(|s| s.node != home_id) {
+        let mut segs = fabric2.segments(target, WORD)?;
+        if let Some(remote) = segs.clone().find(|s| s.node != home_id) {
             // Remote target: bump the pointer atomically; the swap happens
             // outside the unit (forwarded, weaker atomicity — as serial).
             n.words_raw(ptr_off)?.fetch_add(delta, Ordering::SeqCst);
-            let remote = segs.iter().find(|s| s.node != home_id).unwrap();
             return Ok(Unit::Remote { ptr, target, node: remote.node });
         }
         n.words_raw(ptr_off)?.fetch_add(delta, Ordering::SeqCst);
-        let seg = segs[0];
+        let seg = segs.next().expect("a word target has a segment");
         if !target.is_aligned(WORD) {
             return Err(FabricError::Unaligned { addr: target, required: WORD });
         }
@@ -654,7 +653,7 @@ fn exec_faai_swap_guarded(
                 return Err(FabricError::IndirectRemote { target, target_node: node });
             }
             // Forwarded completion at the remote target (§7.1).
-            let seg = fabric.segments(target, WORD)?[0];
+            let seg = fabric.segments(target, WORD)?.next().expect("a word target has a segment");
             let rphys = c.route(seg.node);
             let rnode = fabric.node(rphys);
             rnode.check_alive_at(arrival)?;
@@ -701,7 +700,7 @@ fn exec_indirect(
     let target = FarAddr(ptr_val + index);
     let segs = fabric.segments(target, len)?;
     if mode == IndirectionMode::Error {
-        if let Some(remote) = segs.iter().find(|s| s.node != home_id) {
+        if let Some(remote) = segs.clone().find(|s| s.node != home_id) {
             return Err(FabricError::IndirectRemote {
                 target,
                 target_node: remote.node,
@@ -711,7 +710,7 @@ fn exec_indirect(
     let mut buf = if write.is_none() { vec![0u8; len as usize] } else { Vec::new() };
     let mut finish = home_finish;
     let mut done = 0usize;
-    for seg in &segs {
+    for seg in segs {
         let phys = c.route(seg.node);
         let node = fabric.node(phys);
         node.check_alive_at(arrival)?;
