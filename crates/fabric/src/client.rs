@@ -763,173 +763,125 @@ impl FabricClient {
 
     // ----- public one-sided verbs (§2 baseline set) -----
 
-    /// One-sided read of `len` bytes at `addr`. One far access.
-    pub fn read(&mut self, addr: FarAddr, len: u64) -> Result<Vec<u8>> {
-        self.traced(VerbKind::Read, |c| c.read_inner(addr, len))
+    /// Runs one verb that waits for its completion. Each attempt rolls
+    /// the fault plan, then `exec` runs the verb's executor with the
+    /// attempt's arrival time and returns the output and the node-side
+    /// finish, where the round trip completes. Attempts retry under the
+    /// retry policy, and the whole verb is traced once. The posted verbs
+    /// wait for no completion and keep their own shape.
+    pub(crate) fn verb<T>(
+        &mut self,
+        kind: VerbKind,
+        mut exec: impl FnMut(&mut FabricClient, u64) -> Result<(T, u64)>,
+    ) -> Result<T> {
+        self.traced(kind, |c| {
+            c.retrying(|c| {
+                c.begin_attempt()?;
+                let arrival = c.arrival();
+                let (out, finish) = exec(c, arrival)?;
+                c.finish_rt(finish);
+                Ok(out)
+            })
+        })
     }
 
-    fn read_inner(&mut self, addr: FarAddr, len: u64) -> Result<Vec<u8>> {
-        self.retrying(|c| {
-            c.begin_attempt()?;
-            let arrival = c.arrival();
-            let (buf, finish) = c.exec_read(addr, len, arrival)?;
-            c.finish_rt(finish);
-            Ok(buf)
-        })
+    /// One-sided read of `len` bytes at `addr`. One far access.
+    pub fn read(&mut self, addr: FarAddr, len: u64) -> Result<Vec<u8>> {
+        self.verb(VerbKind::Read, |c, arrival| c.exec_read(addr, len, arrival))
     }
 
     /// One-sided write of `data` at `addr`. One far access.
     pub fn write(&mut self, addr: FarAddr, data: &[u8]) -> Result<()> {
-        self.traced(VerbKind::Write, |c| c.write_inner(addr, data))
-    }
-
-    fn write_inner(&mut self, addr: FarAddr, data: &[u8]) -> Result<()> {
-        self.retrying(|c| {
-            c.begin_attempt()?;
-            let arrival = c.arrival();
-            let finish = c.exec_write(addr, data, arrival)?;
-            c.finish_rt(finish);
-            Ok(())
-        })
+        self.verb(VerbKind::Write, |c, arrival| Ok(((), c.exec_write(addr, data, arrival)?)))
     }
 
     /// One-sided read of the aligned word at `addr`. One far access.
     pub fn read_u64(&mut self, addr: FarAddr) -> Result<u64> {
-        self.traced(VerbKind::Read, |c| c.read_u64_inner(addr))
-    }
-
-    fn read_u64_inner(&mut self, addr: FarAddr) -> Result<u64> {
-        self.retrying(|c| {
-            c.begin_attempt()?;
-            let arrival = c.arrival();
-            let (v, finish) = c.exec_read_u64(addr, arrival)?;
-            c.finish_rt(finish);
-            Ok(v)
-        })
+        self.verb(VerbKind::Read, |c, arrival| c.exec_read_u64(addr, arrival))
     }
 
     /// One-sided write of the aligned word at `addr`. One far access.
     pub fn write_u64(&mut self, addr: FarAddr, value: u64) -> Result<()> {
-        self.traced(VerbKind::Write, |c| c.write_u64_inner(addr, value))
-    }
-
-    fn write_u64_inner(&mut self, addr: FarAddr, value: u64) -> Result<()> {
-        self.retrying(|c| {
-            c.begin_attempt()?;
-            let arrival = c.arrival();
-            let finish = c.exec_write_u64(addr, value, arrival)?;
-            c.finish_rt(finish);
-            Ok(())
+        self.verb(VerbKind::Write, |c, arrival| {
+            Ok(((), c.exec_write_u64(addr, value, arrival)?))
         })
     }
 
     /// Fabric-level compare-and-swap (§2); returns the previous value.
     /// One far access.
     pub fn cas(&mut self, addr: FarAddr, expected: u64, new: u64) -> Result<u64> {
-        self.traced(VerbKind::Atomic, |c| c.cas_inner(addr, expected, new))
-    }
-
-    fn cas_inner(&mut self, addr: FarAddr, expected: u64, new: u64) -> Result<u64> {
-        self.retrying(|c| {
-            c.begin_attempt()?;
-            let arrival = c.arrival();
-            let (prev, finish) = c.exec_cas(addr, expected, new, arrival)?;
-            c.finish_rt(finish);
-            Ok(prev)
-        })
+        self.verb(VerbKind::Atomic, |c, arrival| c.exec_cas(addr, expected, new, arrival))
     }
 
     /// Fabric-level fetch-and-add (§2); returns the previous value.
     /// One far access.
     pub fn faa(&mut self, addr: FarAddr, delta: u64) -> Result<u64> {
-        self.traced(VerbKind::Atomic, |c| c.faa_inner(addr, delta))
-    }
-
-    fn faa_inner(&mut self, addr: FarAddr, delta: u64) -> Result<u64> {
-        self.retrying(|c| {
-            c.begin_attempt()?;
-            let arrival = c.arrival();
-            let (prev, finish) = c.exec_faa(addr, delta, arrival)?;
-            c.finish_rt(finish);
-            Ok(prev)
-        })
+        self.verb(VerbKind::Atomic, |c, arrival| c.exec_faa(addr, delta, arrival))
     }
 
     /// Issues a fenced batch: the verbs are applied in order (the fabric's
     /// completion queue enforces the barrier, §2) and the whole batch costs
     /// one dependent round trip.
     pub fn batch(&mut self, ops: &[BatchOp<'_>]) -> Result<Vec<BatchOut>> {
-        self.traced(VerbKind::Batch, |c| c.batch_inner(ops))
+        self.verb(VerbKind::Batch, |c, arrival| c.exec_batch(ops, arrival))
     }
 
-    fn batch_inner(&mut self, ops: &[BatchOp<'_>]) -> Result<Vec<BatchOut>> {
-        self.retrying(|c| {
-            c.begin_attempt()?;
-            let arrival = c.arrival();
-            // Pre-flight every target node before executing any op: a batch
-            // should fail atomically for blind retry to be safe. The timed
-            // crash windows are evaluated against the same `arrival` here
-            // and during execution, so they can never tear a batch; only a
-            // concurrent `MemoryNode::fail` landing between this pre-flight
-            // and a later op can — that case is caught below and surfaced
-            // as the non-retryable `BatchTorn`.
-            for op in ops {
-                let (addr, len) = match op {
-                    BatchOp::Read { addr, len } => (*addr, *len),
-                    BatchOp::Write { addr, data } => (*addr, data.len() as u64),
-                    BatchOp::Cas { addr, .. } | BatchOp::Faa { addr, .. } => (*addr, WORD),
-                };
-                for seg in c.fabric.segments(addr, len)? {
-                    let phys = c.route(seg.node);
-                    c.fabric.node(phys).check_alive_at(arrival)?;
+    /// Executes a fenced batch arriving at `arrival`; returns the outputs
+    /// in order and the latest node-side finish.
+    fn exec_batch(&mut self, ops: &[BatchOp<'_>], arrival: u64) -> Result<(Vec<BatchOut>, u64)> {
+        // Pre-flight every target node before executing any op: a batch
+        // should fail atomically for blind retry to be safe. The timed
+        // crash windows are evaluated against the same `arrival` here
+        // and during execution, so they can never tear a batch; only a
+        // concurrent `MemoryNode::fail` landing between this pre-flight
+        // and a later op can — that case is caught below and surfaced
+        // as the non-retryable `BatchTorn`.
+        for op in ops {
+            let (addr, len) = match op {
+                BatchOp::Read { addr, len } => (*addr, *len),
+                BatchOp::Write { addr, data } => (*addr, data.len() as u64),
+                BatchOp::Cas { addr, .. } | BatchOp::Faa { addr, .. } => (*addr, WORD),
+            };
+            for seg in self.fabric.segments(addr, len)? {
+                let phys = self.route(seg.node);
+                self.fabric.node(phys).check_alive_at(arrival)?;
+            }
+        }
+        let mut out = Vec::with_capacity(ops.len());
+        let mut finish = arrival;
+        // Whether any side-effecting verb has executed in *this*
+        // attempt. Once it has, a mid-batch node failure must not be
+        // blindly retried: the retry would duplicate the FAA / flip an
+        // already-won CAS to "failed". Reads and not-yet-applied writes
+        // leave the batch safely retryable.
+        let mut mutated = false;
+        for op in ops {
+            let step = match op {
+                BatchOp::Read { addr, len } => self
+                    .exec_read(*addr, *len, arrival)
+                    .map(|(buf, f)| (BatchOut::Bytes(buf), f)),
+                BatchOp::Write { addr, data } => {
+                    self.exec_write(*addr, data, arrival).map(|f| (BatchOut::Done, f))
                 }
-            }
-            let mut out = Vec::with_capacity(ops.len());
-            let mut finish = arrival;
-            // Whether any side-effecting verb has executed in *this*
-            // attempt. Once it has, a mid-batch node failure must not be
-            // blindly retried: the retry would duplicate the FAA / flip an
-            // already-won CAS to "failed". Reads and not-yet-applied writes
-            // leave the batch safely retryable.
-            let mut mutated = false;
-            for op in ops {
-                let step = (|| -> Result<u64> {
-                    Ok(match op {
-                        BatchOp::Read { addr, len } => {
-                            let (buf, f) = c.exec_read(*addr, *len, arrival)?;
-                            out.push(BatchOut::Bytes(buf));
-                            f
-                        }
-                        BatchOp::Write { addr, data } => {
-                            let f = c.exec_write(*addr, data, arrival)?;
-                            out.push(BatchOut::Done);
-                            f
-                        }
-                        BatchOp::Cas { addr, expected, new } => {
-                            let (prev, f) = c.exec_cas(*addr, *expected, *new, arrival)?;
-                            out.push(BatchOut::Value(prev));
-                            f
-                        }
-                        BatchOp::Faa { addr, delta } => {
-                            let (prev, f) = c.exec_faa(*addr, *delta, arrival)?;
-                            out.push(BatchOut::Value(prev));
-                            f
-                        }
-                    })
-                })();
-                let f = match step {
-                    Ok(f) => f,
-                    Err(FabricError::NodeFailed(node)) if mutated => {
-                        return Err(FabricError::BatchTorn { node, executed: out.len() });
-                    }
-                    Err(e) => return Err(e),
-                };
-                mutated |= !matches!(op, BatchOp::Read { .. });
-                finish = finish.max(f);
-            }
-            c.finish_rt(finish);
-            Ok(out)
-        })
+                BatchOp::Cas { addr, expected, new } => self
+                    .exec_cas(*addr, *expected, *new, arrival)
+                    .map(|(prev, f)| (BatchOut::Value(prev), f)),
+                BatchOp::Faa { addr, delta } => self
+                    .exec_faa(*addr, *delta, arrival)
+                    .map(|(prev, f)| (BatchOut::Value(prev), f)),
+            };
+            let (o, f) = match step {
+                Ok(done) => done,
+                Err(FabricError::NodeFailed(node)) if mutated => {
+                    return Err(FabricError::BatchTorn { node, executed: out.len() });
+                }
+                Err(e) => return Err(e),
+            };
+            out.push(o);
+            mutated |= !matches!(op, BatchOp::Read { .. });
+            finish = finish.max(f);
+        }
+        Ok((out, finish))
     }
 
     /// Posts an *unsignaled* word write: the message is issued and the
@@ -1000,13 +952,8 @@ impl FabricClient {
     // ----- notification verbs (Fig. 1, §4.3) -----
 
     fn subscribe(&mut self, addr: FarAddr, len: u64, kind: SubKind) -> Result<SubId> {
-        self.traced(VerbKind::Notify, |c| c.subscribe_inner(addr, len, kind))
-    }
-
-    fn subscribe_inner(&mut self, addr: FarAddr, len: u64, kind: SubKind) -> Result<SubId> {
         crate::notify::SubscriptionTable::validate_range(addr, len)?;
-        self.retrying(|c| {
-            c.begin_attempt()?;
+        self.verb(VerbKind::Notify, |c, arrival| {
             let mut segs = c.fabric.segments(addr, len)?;
             debug_assert_eq!(segs.len(), 1, "a page never spans nodes");
             let seg = segs.next().expect("a validated range has a segment");
@@ -1014,7 +961,6 @@ impl FabricClient {
             // survive failover (best-effort, DESIGN.md §10).
             let phys = c.route(seg.node);
             let node = c.fabric.node(phys);
-            let arrival = c.arrival();
             node.check_alive_at(arrival)?;
             let cost = *c.fabric.cost();
             let finish = node.occupy(arrival, cost.node_msg_ns + cost.node_ext_ns);
@@ -1023,8 +969,7 @@ impl FabricClient {
                 .register(addr, seg.offset, len, kind, c.sink.clone())?;
             c.fabric.register_sub(id, phys);
             c.stats.messages += 1;
-            c.finish_rt(finish);
-            Ok(id)
+            Ok((id, finish))
         })
     }
 
@@ -1048,17 +993,10 @@ impl FabricClient {
 
     /// Cancels a subscription created by this or any other client.
     pub fn unsubscribe(&mut self, id: SubId) -> Result<()> {
-        self.traced(VerbKind::Notify, |c| c.unsubscribe_inner(id))
-    }
-
-    fn unsubscribe_inner(&mut self, id: SubId) -> Result<()> {
-        self.retrying(|c| {
-            c.begin_attempt()?;
-            let arrival = c.arrival();
+        self.verb(VerbKind::Notify, |c, arrival| {
             c.fabric.unregister_sub(id)?;
             c.stats.messages += 1;
-            c.finish_rt(arrival);
-            Ok(())
+            Ok(((), arrival))
         })
     }
 

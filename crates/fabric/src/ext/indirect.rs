@@ -29,16 +29,18 @@
 //! returns [`FabricError::IndirectRemote`] and the client finishes the
 //! access itself — the `*_auto` wrappers do exactly that.
 
-use crate::addr::{FarAddr, NodeId, WORD};
+use std::sync::atomic::Ordering;
+
+use crate::addr::{FarAddr, NodeId, Segments, WORD};
 use crate::check::AccessKind;
 use crate::client::FabricClient;
 use crate::error::{FabricError, Result};
-use crate::fabric::IndirectionMode;
+use crate::fabric::{Fabric, IndirectionMode};
 use crate::trace::VerbKind;
 
 /// How an indirect verb reads its pointer word.
 #[derive(Clone, Copy, Debug)]
-enum PtrRead {
+pub(crate) enum PtrRead {
     /// Plain load of the pointer.
     Plain,
     /// Atomic fetch-and-add of `delta` (for `faai` / `saai`).
@@ -59,7 +61,7 @@ enum PtrRead {
 
 /// What the verb does at the dereferenced target.
 #[derive(Clone, Copy)]
-enum TargetAccess<'a> {
+pub(crate) enum TargetAccess<'a> {
     /// Read `len` bytes.
     Read(u64),
     /// Write the given bytes.
@@ -71,51 +73,103 @@ enum TargetAccess<'a> {
     Swap(u64),
 }
 
+impl TargetAccess<'_> {
+    /// Bytes touched at the target.
+    fn len(&self) -> u64 {
+        match self {
+            TargetAccess::Read(l) => *l,
+            TargetAccess::Write(d) => d.len() as u64,
+            TargetAccess::Add(_) | TargetAccess::Swap(_) => WORD,
+        }
+    }
+
+    /// How the checker sees the target access.
+    fn kind(&self) -> AccessKind {
+        match self {
+            TargetAccess::Read(_) => AccessKind::Read,
+            TargetAccess::Write(_) => AccessKind::Write,
+            TargetAccess::Add(_) | TargetAccess::Swap(_) => AccessKind::AtomicRmw,
+        }
+    }
+
+    /// Books the target's payload bytes.
+    fn book_bytes(&self, stats: &mut crate::stats::AccessStats) {
+        match self {
+            TargetAccess::Read(l) => stats.bytes_read += *l,
+            TargetAccess::Swap(_) => stats.bytes_read += WORD,
+            TargetAccess::Write(d) => stats.bytes_written += d.len() as u64,
+            TargetAccess::Add(_) => {}
+        }
+    }
+}
+
+/// Atomic target accesses need a word-aligned target.
+fn aligned_word(target: FarAddr) -> Result<()> {
+    if target.is_aligned(WORD) {
+        Ok(())
+    } else {
+        Err(FabricError::Unaligned { addr: target, required: WORD })
+    }
+}
+
+/// What an indirect verb returns: the pointer value, and the bytes read
+/// (or swapped out) at the target.
+pub(crate) type Indirection = (u64, Option<Vec<u8>>);
+
 impl FabricClient {
-    /// Core of every indirect verb: one client round trip that reads the
+    /// Every Fig. 1 indirect verb: one client round trip that reads the
     /// pointer at `ptr_addr`, offsets it by `index`, and performs `access`
-    /// at the target — forwarding or erroring if the target is remote.
-    /// Returns `(pointer value, read data)`. The pointer value is exposed
-    /// because fabric completions for atomic verbs carry the old value
-    /// anyway (RDMA fetch-and-add does); the §5.3 queue's background slack
-    /// check depends on learning where its `faai`/`saai` landed.
-    ///
-    /// Guarded verbs with a node-local target execute as ONE atomic unit
-    /// at the memory node (guard check, pointer bump, target access);
-    /// with a remote target only the guard+bump is atomic and the target
-    /// access follows via forwarding — structures needing full atomicity
-    /// must colocate their pointer and data (§7.1 localized placement).
+    /// at the target (see [`exec_indirect`](Self::exec_indirect)). One
+    /// traced verb covers the whole family; `*_auto` completions re-enter
+    /// via the traced `read`/`write`/`cas` verbs and record their own
+    /// events.
     fn indirect(
         &mut self,
         ptr_addr: FarAddr,
         ptr_read: PtrRead,
         index: u64,
         access: TargetAccess<'_>,
-    ) -> Result<(u64, Option<Vec<u8>>)> {
-        // Every Fig. 1 indirect verb funnels through here, so one traced()
-        // wrapper covers the whole family; `*_auto` completions re-enter
-        // via the traced `read`/`write`/`cas` verbs and record their own
-        // events.
-        self.traced(VerbKind::Indirect, |cl| {
-            cl.retrying(|c| {
-                c.begin_attempt()?;
-                c.indirect_once(ptr_addr, ptr_read, index, access)
-            })
+    ) -> Result<Indirection> {
+        self.verb(VerbKind::Indirect, |c, arrival| {
+            let (outcome, finish) = c.exec_indirect(ptr_addr, ptr_read, index, access, arrival)?;
+            if outcome.is_err() {
+                // The home node answered with the error: a full round trip.
+                c.finish_rt(finish);
+            }
+            Ok((outcome?, finish))
         })
     }
 
-    /// One attempt of an indirect verb (see [`indirect`](Self::indirect)
-    /// for the retry wrapper).
-    fn indirect_once(
+    /// Executes one indirect verb arriving at `arrival`: reads the pointer
+    /// at its home node, offsets it by `index`, and performs `access` at
+    /// the target — forwarding or erroring if the target is remote. The
+    /// pointer value is returned because fabric completions for atomic
+    /// verbs carry the old value anyway (RDMA fetch-and-add does); the
+    /// §5.3 queue's background slack check depends on learning where its
+    /// `faai`/`saai` landed.
+    ///
+    /// `Ok((outcome, finish))` means the home node answered at node-side
+    /// time `finish`, either with the result or with an error it reports
+    /// itself: a null pointer, a guard mismatch, a guard off the pointer's
+    /// node, a remote target under [`IndirectionMode::Error`], an invalid
+    /// target range. `Err` means the attempt failed without an answer (a
+    /// dead node, a bad pointer address).
+    ///
+    /// Guarded verbs with a node-local target execute as ONE atomic unit
+    /// at the memory node (guard check, pointer bump, target access);
+    /// with a remote target only the guard+bump is atomic and the target
+    /// access follows via forwarding — structures needing full atomicity
+    /// must colocate their pointer and data (§7.1 localized placement).
+    pub(crate) fn exec_indirect(
         &mut self,
         ptr_addr: FarAddr,
         ptr_read: PtrRead,
         index: u64,
         access: TargetAccess<'_>,
-    ) -> Result<(u64, Option<Vec<u8>>)> {
+        arrival: u64,
+    ) -> Result<(Result<Indirection>, u64)> {
         let cost = *self.fabric().cost();
         let mode = self.fabric().config().indirection;
-        let arrival = self.arrival();
 
         // Resolve the pointer at its home node.
         let (home_id, ptr_off) = self.word_home(ptr_addr)?;
@@ -123,12 +177,7 @@ impl FabricClient {
         let fabric = self.fabric().clone();
         let home = fabric.node(home_phys);
         home.check_alive_at(arrival)?;
-
-        let len = match &access {
-            TargetAccess::Read(l) => *l,
-            TargetAccess::Write(d) => d.len() as u64,
-            TargetAccess::Add(_) | TargetAccess::Swap(_) => WORD,
-        };
+        let len = access.len();
 
         // Pre-flight for destructive pointer reads: peek the pointer and
         // check the dereferenced target's nodes *before* the atomic bump,
@@ -157,10 +206,10 @@ impl FabricClient {
         if let PtrRead::GuardedFetchAdd { delta, guard, expect } = ptr_read {
             let (guard_node, guard_off) = self.word_home(guard)?;
             if guard_node != home_id {
-                self.finish_rt(home_finish);
-                return Err(FabricError::BadIovec {
+                let err = FabricError::BadIovec {
                     reason: "guard word must live on the pointer's node",
-                });
+                };
+                return Ok((Err(err), home_finish));
             }
             // Outcome of the atomic unit.
             enum Unit {
@@ -170,7 +219,7 @@ impl FabricClient {
             }
             let fabric2 = fabric.clone();
             let unit = home.guarded_verb(guard_off, expect, |n| {
-                let ptr = n.words_raw(ptr_off)?.load(std::sync::atomic::Ordering::SeqCst);
+                let ptr = n.words_raw(ptr_off)?.load(Ordering::SeqCst);
                 if ptr == 0 {
                     return Ok(Unit::Null);
                 }
@@ -179,13 +228,11 @@ impl FabricClient {
                 if let Some(remote) = segs.clone().find(|s| s.node != home_id) {
                     // Remote target: bump the pointer atomically; the
                     // target access happens outside the unit.
-                    n.words_raw(ptr_off)?
-                        .fetch_add(delta, std::sync::atomic::Ordering::SeqCst);
+                    n.words_raw(ptr_off)?.fetch_add(delta, Ordering::SeqCst);
                     return Ok(Unit::Remote { ptr, target, node: remote.node });
                 }
                 // Local target: bump + access inside the unit.
-                n.words_raw(ptr_off)?
-                    .fetch_add(delta, std::sync::atomic::Ordering::SeqCst);
+                n.words_raw(ptr_off)?.fetch_add(delta, Ordering::SeqCst);
                 debug_assert_eq!(segs.len(), 1, "single-node target is one segment");
                 let seg = segs.next().expect("a local target has a segment");
                 let (out, fired) = match &access {
@@ -199,26 +246,13 @@ impl FabricClient {
                         (None, Some((seg.offset, seg.len)))
                     }
                     TargetAccess::Swap(replacement) => {
-                        if !target.is_aligned(WORD) {
-                            return Err(FabricError::Unaligned {
-                                addr: target,
-                                required: WORD,
-                            });
-                        }
-                        let old = n
-                            .words_raw(seg.offset)?
-                            .swap(*replacement, std::sync::atomic::Ordering::SeqCst);
+                        aligned_word(target)?;
+                        let old = n.words_raw(seg.offset)?.swap(*replacement, Ordering::SeqCst);
                         (Some(old.to_le_bytes().to_vec()), Some((seg.offset, WORD)))
                     }
                     TargetAccess::Add(v) => {
-                        if !target.is_aligned(WORD) {
-                            return Err(FabricError::Unaligned {
-                                addr: target,
-                                required: WORD,
-                            });
-                        }
-                        n.words_raw(seg.offset)?
-                            .fetch_add(*v, std::sync::atomic::Ordering::SeqCst);
+                        aligned_word(target)?;
+                        n.words_raw(seg.offset)?.fetch_add(*v, Ordering::SeqCst);
                         (None, Some((seg.offset, WORD)))
                     }
                 };
@@ -229,28 +263,15 @@ impl FabricClient {
             let finish = home.occupy(home_finish, service);
             // The guard word was probed atomically whatever the outcome.
             self.observe(AccessKind::AtomicRead, guard, WORD);
-            match unit {
-                Err(e) => {
-                    self.finish_rt(home_finish);
-                    return Err(e);
-                }
+            return match unit {
+                Err(e) => Ok((Err(e), home_finish)),
                 Ok(Unit::Null) => {
                     self.observe(AccessKind::AtomicRead, ptr_addr, WORD);
-                    self.finish_rt(home_finish);
-                    return Err(FabricError::NullDeref { pointer_at: ptr_addr });
+                    Ok((Err(FabricError::NullDeref { pointer_at: ptr_addr }), home_finish))
                 }
                 Ok(Unit::Local { ptr, out, fired }) => {
                     self.observe(AccessKind::AtomicRmw, ptr_addr, WORD);
-                    let target = FarAddr(ptr + index);
-                    self.observe(
-                        match &access {
-                            TargetAccess::Read(_) => AccessKind::Read,
-                            TargetAccess::Write(_) => AccessKind::Write,
-                            TargetAccess::Add(_) | TargetAccess::Swap(_) => AccessKind::AtomicRmw,
-                        },
-                        target,
-                        len,
-                    );
+                    self.observe(access.kind(), FarAddr(ptr + index), len);
                     // Notifications and replica mirrors fire outside the
                     // atomic unit; both mirrors fan out in parallel and the
                     // ack folds in the slower one.
@@ -260,31 +281,23 @@ impl FabricClient {
                     } else {
                         mirrored
                     };
-                    match &access {
-                        TargetAccess::Read(l) => self.stats_mut().bytes_read += *l,
-                        TargetAccess::Swap(_) => self.stats_mut().bytes_read += WORD,
-                        TargetAccess::Write(d) => {
-                            self.stats_mut().bytes_written += d.len() as u64
-                        }
-                        TargetAccess::Add(_) => {}
-                    }
-                    self.finish_rt(finish);
-                    return Ok((ptr, out));
+                    access.book_bytes(self.stats_mut());
+                    Ok((Ok((ptr, out)), finish))
                 }
                 Ok(Unit::Remote { ptr, target, node }) => {
                     self.observe(AccessKind::AtomicRmw, ptr_addr, WORD);
                     let finish = fabric.fire(self.stats_mut(), home_id, ptr_off, WORD, finish);
                     if mode == IndirectionMode::Error {
-                        self.finish_rt(finish);
-                        return Err(FabricError::IndirectRemote {
-                            target,
-                            target_node: node,
-                        });
+                        let err = FabricError::IndirectRemote { target, target_node: node };
+                        return Ok((Err(err), finish));
                     }
                     // Forwarded completion (weaker atomicity, documented).
-                    return self.finish_at_target(ptr, target, len, access, home_id, arrival, finish);
+                    let segs = fabric.segments(target, len)?;
+                    self.finish_at_target(
+                        &fabric, ptr, target, segs, access, home_id, arrival, finish,
+                    )
                 }
-            }
+            };
         }
 
         let ptr = match ptr_read {
@@ -303,49 +316,41 @@ impl FabricClient {
             PtrRead::GuardedFetchAdd { .. } => unreachable!("handled above"),
         };
         if ptr == 0 {
-            self.finish_rt(home_finish);
-            return Err(FabricError::NullDeref { pointer_at: ptr_addr });
+            return Ok((Err(FabricError::NullDeref { pointer_at: ptr_addr }), home_finish));
         }
         let target = FarAddr(ptr + index);
-        let mut segs = match fabric.segments(target, len) {
+        let segs = match fabric.segments(target, len) {
             Ok(s) => s,
-            Err(e) => {
-                self.finish_rt(home_finish);
-                return Err(e);
-            }
+            Err(e) => return Ok((Err(e), home_finish)),
         };
 
         // §7.1: a dereferenced pointer may refer to data on a remote node.
         if mode == IndirectionMode::Error {
-            if let Some(remote) = segs.find(|s| s.node != home_id) {
-                self.finish_rt(home_finish);
-                return Err(FabricError::IndirectRemote {
-                    target,
-                    target_node: remote.node,
-                });
+            if let Some(remote) = segs.clone().find(|s| s.node != home_id) {
+                let err = FabricError::IndirectRemote { target, target_node: remote.node };
+                return Ok((Err(err), home_finish));
             }
         }
-        self.finish_at_target(ptr, target, len, access, home_id, arrival, home_finish)
+        self.finish_at_target(&fabric, ptr, target, segs, access, home_id, arrival, home_finish)
     }
 
     /// Completes an indirect verb at its (possibly remote) target
-    /// segments. Segments on `home_id` (the pointer's node) extend the
-    /// home service chain; remote segments are forwarded with one
+    /// segments `segs`. Segments on `home_id` (the pointer's node) extend
+    /// the home service chain; remote segments are forwarded with one
     /// memory-side hop (§7.1).
     #[allow(clippy::too_many_arguments)] // internal plumbing of one verb's pre-computed state
     fn finish_at_target(
         &mut self,
+        fabric: &Fabric,
         ptr: u64,
         target: FarAddr,
-        len: u64,
+        segs: Segments,
         access: TargetAccess<'_>,
         home_id: NodeId,
         arrival: u64,
         home_finish: u64,
-    ) -> Result<(u64, Option<Vec<u8>>)> {
-        let cost = *self.fabric().cost();
-        let fabric = self.fabric().clone();
-        let segs = fabric.segments(target, len)?;
+    ) -> Result<(Result<Indirection>, u64)> {
+        let cost = *fabric.cost();
         let mut finish = home_finish;
         let mut out = match access {
             TargetAccess::Read(l) => Some(vec![0u8; l as usize]),
@@ -370,9 +375,7 @@ impl FabricClient {
             };
             match (&mut out, &access) {
                 (Some(buf), TargetAccess::Swap(replacement)) => {
-                    if !target.is_aligned(WORD) {
-                        return Err(FabricError::Unaligned { addr: target, required: WORD });
-                    }
+                    aligned_word(target)?;
                     self.stats_mut().atomics += 1;
                     let old = node.swap_u64(seg.offset, *replacement)?;
                     buf[done..done + 8].copy_from_slice(&old.to_le_bytes());
@@ -387,12 +390,7 @@ impl FabricClient {
                         f = fabric.fire(self.stats_mut(), seg.node, seg.offset, seg.len, f);
                     }
                     TargetAccess::Add(v) => {
-                        if !target.is_aligned(WORD) {
-                            return Err(FabricError::Unaligned {
-                                addr: target,
-                                required: WORD,
-                            });
-                        }
+                        aligned_word(target)?;
                         self.stats_mut().atomics += 1;
                         node.faa_u64(seg.offset, *v)?;
                         f = fabric.fire(self.stats_mut(), seg.node, seg.offset, WORD, f);
@@ -403,23 +401,9 @@ impl FabricClient {
             done += seg.len as usize;
             finish = finish.max(f);
         }
-        match &access {
-            TargetAccess::Read(l) => self.stats_mut().bytes_read += *l,
-            TargetAccess::Swap(_) => self.stats_mut().bytes_read += WORD,
-            TargetAccess::Write(d) => self.stats_mut().bytes_written += d.len() as u64,
-            TargetAccess::Add(_) => {}
-        }
-        self.observe(
-            match &access {
-                TargetAccess::Read(_) => AccessKind::Read,
-                TargetAccess::Write(_) => AccessKind::Write,
-                TargetAccess::Add(_) | TargetAccess::Swap(_) => AccessKind::AtomicRmw,
-            },
-            target,
-            len,
-        );
-        self.finish_rt(finish);
-        Ok((ptr, out))
+        access.book_bytes(self.stats_mut());
+        self.observe(access.kind(), target, access.len());
+        Ok((Ok((ptr, out)), finish))
     }
 
     /// `load0(ad, ℓ)`: dereference the pointer at `ad` and read `ℓ` bytes

@@ -40,7 +40,12 @@ impl FarIov {
     }
 }
 
-fn check_iov(iov: &[FarIov]) -> Result<u64> {
+/// Validates a far iovec and returns its total length: the iovec and
+/// each of its entries must be non-empty, and a scatter's total must
+/// equal its source length (`src_len`). The serial iovec verbs call it
+/// before their first attempt, so a bad iovec rolls no fault and passes
+/// no check gate; the executors call it again for pipeline descriptors.
+pub(crate) fn check_iov(iov: &[FarIov], src_len: Option<u64>) -> Result<u64> {
     if iov.is_empty() {
         return Err(FabricError::BadIovec { reason: "iovec must be non-empty" });
     }
@@ -51,10 +56,43 @@ fn check_iov(iov: &[FarIov]) -> Result<u64> {
         }
         total += e.len;
     }
+    if src_len.is_some_and(|l| l != total) {
+        return Err(FabricError::BadIovec {
+            reason: "iovec total length must equal the source length",
+        });
+    }
     Ok(total)
 }
 
 impl FabricClient {
+    /// Executes a gather of `iov` arriving at `arrival`: one concurrent
+    /// read per far buffer. Returns `(bytes in iovec order, finish)`.
+    pub(crate) fn exec_gather(&mut self, iov: &[FarIov], arrival: u64) -> Result<(Vec<u8>, u64)> {
+        let total = check_iov(iov, None)?;
+        let mut out = Vec::with_capacity(total as usize);
+        let mut finish = arrival;
+        for e in iov {
+            let (part, f) = self.exec_read(e.addr, e.len, arrival)?;
+            out.extend_from_slice(&part);
+            finish = finish.max(f);
+        }
+        Ok((out, finish))
+    }
+
+    /// Executes a scatter of `src` across `iov` arriving at `arrival`: one
+    /// concurrent write per far buffer. Returns the finish time.
+    pub(crate) fn exec_scatter(&mut self, iov: &[FarIov], src: &[u8], arrival: u64) -> Result<u64> {
+        check_iov(iov, Some(src.len() as u64))?;
+        let mut finish = arrival;
+        let mut done = 0usize;
+        for e in iov {
+            let f = self.exec_write(e.addr, &src[done..done + e.len as usize], arrival)?;
+            done += e.len as usize;
+            finish = finish.max(f);
+        }
+        Ok(finish)
+    }
+
     /// `rscatter(ad, ℓ, iovec)`: read the far range `[ad, ad+ℓ)` and
     /// scatter it into the local buffers `into` (whose total length must
     /// equal `ℓ`). One far access.
@@ -63,15 +101,8 @@ impl FabricClient {
             return Err(FabricError::BadIovec { reason: "iovec must be non-empty" });
         }
         let total: u64 = into.iter().map(|b| b.len() as u64).sum();
-        let data = self.traced(VerbKind::ScatterGather, |c| {
-            c.retrying(|c| {
-                c.begin_attempt()?;
-                let arrival = c.arrival();
-                let (data, finish) = c.exec_read(ad, total, arrival)?;
-                c.finish_rt(finish);
-                Ok(data)
-            })
-        })?;
+        let data =
+            self.verb(VerbKind::ScatterGather, |c, arrival| c.exec_read(ad, total, arrival))?;
         let mut done = 0usize;
         for buf in into.iter_mut() {
             buf.copy_from_slice(&data[done..done + buf.len()]);
@@ -84,48 +115,17 @@ impl FabricClient {
     /// gather them into one local buffer, returned in iovec order. The
     /// per-buffer messages are issued concurrently: one far access.
     pub fn rgather(&mut self, iov: &[FarIov]) -> Result<Vec<u8>> {
-        let total = check_iov(iov)?;
-        self.traced(VerbKind::ScatterGather, |c| {
-            c.retrying(|c| {
-                c.begin_attempt()?;
-                let arrival = c.arrival();
-                let mut out = Vec::with_capacity(total as usize);
-                let mut finish = arrival;
-                for e in iov {
-                    let (part, f) = c.exec_read(e.addr, e.len, arrival)?;
-                    out.extend_from_slice(&part);
-                    finish = finish.max(f);
-                }
-                c.finish_rt(finish);
-                Ok(out)
-            })
-        })
+        check_iov(iov, None)?;
+        self.verb(VerbKind::ScatterGather, |c, arrival| c.exec_gather(iov, arrival))
     }
 
     /// `wscatter(ad, ℓ, iovec)`: scatter one local range `src` across the
     /// disjoint far buffers of `iov` (total iovec length must equal
     /// `src.len()`). One far access.
     pub fn wscatter(&mut self, iov: &[FarIov], src: &[u8]) -> Result<()> {
-        let total = check_iov(iov)?;
-        if total != src.len() as u64 {
-            return Err(FabricError::BadIovec {
-                reason: "iovec total length must equal the source length",
-            });
-        }
-        self.traced(VerbKind::ScatterGather, |c| {
-            c.retrying(|c| {
-                c.begin_attempt()?;
-                let arrival = c.arrival();
-                let mut finish = arrival;
-                let mut done = 0usize;
-                for e in iov {
-                    let f = c.exec_write(e.addr, &src[done..done + e.len as usize], arrival)?;
-                    done += e.len as usize;
-                    finish = finish.max(f);
-                }
-                c.finish_rt(finish);
-                Ok(())
-            })
+        check_iov(iov, Some(src.len() as u64))?;
+        self.verb(VerbKind::ScatterGather, |c, arrival| {
+            Ok(((), c.exec_scatter(iov, src, arrival)?))
         })
     }
 
@@ -140,15 +140,7 @@ impl FabricClient {
         for b in from {
             data.extend_from_slice(b);
         }
-        self.traced(VerbKind::ScatterGather, |c| {
-            c.retrying(|c| {
-                c.begin_attempt()?;
-                let arrival = c.arrival();
-                let finish = c.exec_write(ad, &data, arrival)?;
-                c.finish_rt(finish);
-                Ok(())
-            })
-        })
+        self.verb(VerbKind::ScatterGather, |c, arrival| Ok(((), c.exec_write(ad, &data, arrival)?)))
     }
 }
 

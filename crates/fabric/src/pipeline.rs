@@ -16,18 +16,23 @@
 //!
 //! # Overlap-aware accounting
 //!
-//! Counting is *serial-identical*: every descriptor books the same round
-//! trips, messages, bytes and atomics the equivalent serial verb would, so
-//! the paper's access-count metric is unchanged by pipelining. Only the
-//! *clock* differs:
+//! Each descriptor runs its serial verb's own executor (`exec_read`,
+//! `exec_cas`, `exec_gather`, `exec_indirect`, ...): the same node
+//! accesses, round trips, messages, bytes, atomics, checker observations
+//! and fault rolls, so the paper's access-count metric is unchanged by
+//! pipelining. This module only rings the doorbell. Two things differ
+//! from issuing the serial verbs one by one:
 //!
-//! * all descriptors share the doorbell's issue time, so their requests
-//!   arrive at the nodes together;
-//! * chains to the **same** node stay FIFO-serialized through the node's
-//!   work-conserving interface queue ([`MemoryNode::occupy`]) — per-node
-//!   bandwidth is never double-counted;
-//! * the client clock advances to the **max** completion across
-//!   descriptors, not the sum.
+//! * the *clock*: all descriptors share the doorbell's issue time, so
+//!   their requests arrive at the nodes together; chains to the **same**
+//!   node stay FIFO-serialized through the node's work-conserving
+//!   interface queue, so per-node bandwidth is never double-counted; and
+//!   the client clock advances to the **max** completion across
+//!   descriptors, not the sum;
+//! * a descriptor that fails books no round trip, even where its serial
+//!   verb books one because the node answered with the error (an
+//!   indirect verb's null pointer, guard mismatch or refused remote
+//!   target).
 //!
 //! The difference between the serial-equivalent latency sum and the actual
 //! elapsed time is booked as [`AccessStats::overlap_saved_ns`], next to
@@ -46,14 +51,13 @@
 //! duplicate those effects. Completed results remain drainable from the
 //! [`CompletionQueue`].
 //!
-//! [`MemoryNode::occupy`]: crate::node::MemoryNode::occupy
 //! [`AccessStats::overlap_saved_ns`]: crate::stats::AccessStats
 
 use crate::addr::FarAddr;
 use crate::client::FabricClient;
 use crate::error::{FabricError, Result};
+use crate::ext::indirect::{PtrRead, TargetAccess};
 use crate::ext::sg::FarIov;
-use crate::fabric::IndirectionMode;
 use crate::trace::VerbKind;
 
 /// One posted descriptor (owned, so a queue can outlive its sources).
@@ -124,6 +128,9 @@ pub enum PipeOp {
     /// cross-node target is forwarded under [`IndirectionMode::Forward`];
     /// under [`IndirectionMode::Error`] the descriptor fails with
     /// [`FabricError::IndirectRemote`].
+    ///
+    /// [`IndirectionMode::Forward`]: crate::fabric::IndirectionMode::Forward
+    /// [`IndirectionMode::Error`]: crate::fabric::IndirectionMode::Error
     Load2 {
         /// Far address of the pointer word.
         ptr: FarAddr,
@@ -461,10 +468,9 @@ fn commit_inner(c: &mut FabricClient, ops: &[PipeOp]) -> CompletionQueue {
         });
         match res {
             Ok((out, finish, arrival)) => {
-                // Serial-identical counting: one dependent round trip per
-                // descriptor (the clock is advanced once, below, to the max
-                // completion — that is the only difference from the serial
-                // path).
+                // One dependent round trip per completed descriptor, as
+                // its serial verb books; the clock is advanced once,
+                // below, to the max completion.
                 let stats = c.stats_mut();
                 stats.round_trips += 1;
                 stats.pipelined_ops += 1;
@@ -506,259 +512,59 @@ fn commit_inner(c: &mut FabricClient, ops: &[PipeOp]) -> CompletionQueue {
     CompletionQueue { results, status }
 }
 
-/// Executes one descriptor arriving at `arrival`, charging messages /
-/// bytes / atomics exactly as the serial verb would; returns the
-/// completion payload and the node-side finish time.
+/// Executes one descriptor arriving at `arrival` through its serial
+/// verb's executor; returns the completion payload and the node-side
+/// finish time. A descriptor the home node answered with an error (an
+/// indirect verb's null pointer, guard mismatch or refused remote target)
+/// fails here and books no round trip.
 fn exec_op(c: &mut FabricClient, op: &PipeOp, arrival: u64) -> Result<(PipeOut, u64)> {
-    match op {
+    Ok(match op {
         PipeOp::Read { addr, len } => {
             let (buf, f) = c.exec_read(*addr, *len, arrival)?;
-            Ok((PipeOut::Bytes(buf), f))
+            (PipeOut::Bytes(buf), f)
         }
-        PipeOp::Write { addr, data } => {
-            let f = c.exec_write(*addr, data, arrival)?;
-            Ok((PipeOut::Done, f))
-        }
+        PipeOp::Write { addr, data } => (PipeOut::Done, c.exec_write(*addr, data, arrival)?),
         PipeOp::ReadU64 { addr } => {
             let (v, f) = c.exec_read_u64(*addr, arrival)?;
-            Ok((PipeOut::Value(v), f))
+            (PipeOut::Value(v), f)
         }
         PipeOp::WriteU64 { addr, value } => {
-            let f = c.exec_write_u64(*addr, *value, arrival)?;
-            Ok((PipeOut::Done, f))
+            (PipeOut::Done, c.exec_write_u64(*addr, *value, arrival)?)
         }
         PipeOp::Cas { addr, expected, new } => {
             let (prev, f) = c.exec_cas(*addr, *expected, *new, arrival)?;
-            Ok((PipeOut::Value(prev), f))
+            (PipeOut::Value(prev), f)
         }
         PipeOp::Faa { addr, delta } => {
             let (prev, f) = c.exec_faa(*addr, *delta, arrival)?;
-            Ok((PipeOut::Value(prev), f))
+            (PipeOut::Value(prev), f)
         }
         PipeOp::Gather { iov } => {
-            let total = check_iov(iov)?;
-            let mut out = Vec::with_capacity(total as usize);
-            let mut finish = arrival;
-            for e in iov {
-                let (part, f) = c.exec_read(e.addr, e.len, arrival)?;
-                out.extend_from_slice(&part);
-                finish = finish.max(f);
-            }
-            Ok((PipeOut::Bytes(out), finish))
+            let (buf, f) = c.exec_gather(iov, arrival)?;
+            (PipeOut::Bytes(buf), f)
         }
-        PipeOp::Scatter { iov, data } => {
-            let total = check_iov(iov)?;
-            if total != data.len() as u64 {
-                return Err(FabricError::BadIovec {
-                    reason: "iovec total length must equal the source length",
-                });
-            }
-            let mut finish = arrival;
-            let mut done = 0usize;
-            for e in iov {
-                let f = c.exec_write(e.addr, &data[done..done + e.len as usize], arrival)?;
-                done += e.len as usize;
-                finish = finish.max(f);
-            }
-            Ok((PipeOut::Done, finish))
+        PipeOp::Scatter { iov, data } => (PipeOut::Done, c.exec_scatter(iov, data, arrival)?),
+        PipeOp::Load2 { ptr, index, len } => {
+            let access = TargetAccess::Read(*len);
+            let (outcome, f) = c.exec_indirect(*ptr, PtrRead::Plain, *index, access, arrival)?;
+            (PipeOut::Bytes(outcome?.1.expect("a read returns its bytes")), f)
         }
-        PipeOp::Load2 { ptr, index, len } => exec_indirect(c, *ptr, *index, None, *len, arrival),
         PipeOp::Store2 { ptr, index, data } => {
-            exec_indirect(c, *ptr, *index, Some(data), data.len() as u64, arrival)
+            let access = TargetAccess::Write(data);
+            let (outcome, f) = c.exec_indirect(*ptr, PtrRead::Plain, *index, access, arrival)?;
+            outcome?;
+            (PipeOut::Done, f)
         }
         PipeOp::FaaiSwapGuarded { ptr, delta, replacement, guard, expect } => {
-            exec_faai_swap_guarded(c, *ptr, *delta, *replacement, *guard, *expect, arrival)
+            let read = PtrRead::GuardedFetchAdd { delta: *delta, guard: *guard, expect: *expect };
+            let access = TargetAccess::Swap(*replacement);
+            let (outcome, f) = c.exec_indirect(*ptr, read, 0, access, arrival)?;
+            let (ptr, old) = outcome?;
+            let old = old.expect("a swap returns the old word");
+            let word = u64::from_le_bytes(old.try_into().expect("one word"));
+            (PipeOut::PtrWord { ptr, word }, f)
         }
-    }
-}
-
-/// Pipelined guarded `faai_swap`: one atomic unit at the pointer's home
-/// node (guard check, pointer bump, target-word swap), mirroring the
-/// serial verb's charges. The descriptor retains the serial verb's
-/// atomicity, so pipelining dequeues never opens a read-then-clear window.
-fn exec_faai_swap_guarded(
-    c: &mut FabricClient,
-    ptr_addr: FarAddr,
-    delta: u64,
-    replacement: u64,
-    guard: FarAddr,
-    expect: u64,
-    arrival: u64,
-) -> Result<(PipeOut, u64)> {
-    use crate::addr::{NodeId, WORD};
-    use std::sync::atomic::Ordering;
-
-    let cost = *c.fabric().cost();
-    let mode = c.fabric().config().indirection;
-    let fabric = c.fabric().clone();
-    let (home_id, ptr_off) = c.word_home(ptr_addr)?;
-    let home_phys = c.route(home_id);
-    let home = fabric.node(home_phys);
-    home.check_alive_at(arrival)?;
-    let home_finish = home.occupy(arrival, cost.node_msg_ns + cost.node_ext_ns);
-    c.stats_mut().messages += 1;
-    let (guard_node, guard_off) = c.word_home(guard)?;
-    if guard_node != home_id {
-        return Err(FabricError::BadIovec {
-            reason: "guard word must live on the pointer's node",
-        });
-    }
-    enum Unit {
-        Null,
-        Local { ptr: u64, old: u64, slot_off: u64 },
-        Remote { ptr: u64, target: FarAddr, node: NodeId },
-    }
-    let fabric2 = fabric.clone();
-    let unit = home.guarded_verb(guard_off, expect, |n| {
-        let ptr = n.words_raw(ptr_off)?.load(Ordering::SeqCst);
-        if ptr == 0 {
-            return Ok(Unit::Null);
-        }
-        let target = FarAddr(ptr);
-        let mut segs = fabric2.segments(target, WORD)?;
-        if let Some(remote) = segs.clone().find(|s| s.node != home_id) {
-            // Remote target: bump the pointer atomically; the swap happens
-            // outside the unit (forwarded, weaker atomicity — as serial).
-            n.words_raw(ptr_off)?.fetch_add(delta, Ordering::SeqCst);
-            return Ok(Unit::Remote { ptr, target, node: remote.node });
-        }
-        n.words_raw(ptr_off)?.fetch_add(delta, Ordering::SeqCst);
-        let seg = segs.next().expect("a word target has a segment");
-        if !target.is_aligned(WORD) {
-            return Err(FabricError::Unaligned { addr: target, required: WORD });
-        }
-        let old = n.words_raw(seg.offset)?.swap(replacement, Ordering::SeqCst);
-        Ok(Unit::Local { ptr, old, slot_off: seg.offset })
-    });
-    c.stats_mut().atomics += 1;
-    let service = cost.node_ext_ns + cost.bytes_ns(WORD);
-    let finish = home.occupy(home_finish, service);
-    c.observe(crate::check::AccessKind::AtomicRead, guard, WORD);
-    match unit? {
-        Unit::Null => Err(FabricError::NullDeref { pointer_at: ptr_addr }),
-        Unit::Local { ptr, old, slot_off } => {
-            // Both mirrors fan out in parallel; the ack folds in the slower.
-            let f1 = fabric.fire(c.stats_mut(), home_id, ptr_off, WORD, finish);
-            let f2 = fabric.fire(c.stats_mut(), home_id, slot_off, WORD, finish);
-            let finish = f1.max(f2);
-            c.observe(crate::check::AccessKind::AtomicRmw, ptr_addr, WORD);
-            c.observe(crate::check::AccessKind::AtomicRmw, FarAddr(ptr), WORD);
-            c.stats_mut().bytes_read += WORD;
-            Ok((PipeOut::PtrWord { ptr, word: old }, finish))
-        }
-        Unit::Remote { ptr, target, node } => {
-            c.observe(crate::check::AccessKind::AtomicRmw, ptr_addr, WORD);
-            let finish = fabric.fire(c.stats_mut(), home_id, ptr_off, WORD, finish);
-            if mode == IndirectionMode::Error {
-                return Err(FabricError::IndirectRemote { target, target_node: node });
-            }
-            // Forwarded completion at the remote target (§7.1).
-            let seg = fabric.segments(target, WORD)?.next().expect("a word target has a segment");
-            let rphys = c.route(seg.node);
-            let rnode = fabric.node(rphys);
-            rnode.check_alive_at(arrival)?;
-            c.stats_mut().forward_hops += 1;
-            c.stats_mut().messages += 1;
-            let svc = cost.node_msg_ns + cost.bytes_ns(WORD);
-            let f = rnode.occupy(arrival, svc).max(finish) + cost.mem_hop_ns;
-            c.stats_mut().atomics += 1;
-            let old = rnode.swap_u64(seg.offset, replacement)?;
-            let f = fabric.fire(c.stats_mut(), seg.node, seg.offset, WORD, f);
-            c.observe(crate::check::AccessKind::AtomicRmw, target, WORD);
-            c.stats_mut().bytes_read += WORD;
-            Ok((PipeOut::PtrWord { ptr, word: old }, f))
-        }
-    }
-}
-
-/// Pipelined plain-pointer indirect verb (`load0`/`load2`/`store0`/
-/// `store2`): mirrors the serial indirect verb's charges — pointer
-/// resolution at the home node, target segments extending the home service
-/// chain or forwarded with one memory-side hop (§7.1). `write` is `None`
-/// for a read of `len` bytes, `Some(data)` for a write.
-fn exec_indirect(
-    c: &mut FabricClient,
-    ptr: FarAddr,
-    index: u64,
-    write: Option<&[u8]>,
-    len: u64,
-    arrival: u64,
-) -> Result<(PipeOut, u64)> {
-    let cost = *c.fabric().cost();
-    let mode = c.fabric().config().indirection;
-    let fabric = c.fabric().clone();
-    let (home_id, ptr_off) = c.word_home(ptr)?;
-    let home_phys = c.route(home_id);
-    let home = fabric.node(home_phys);
-    home.check_alive_at(arrival)?;
-    let home_finish = home.occupy(arrival, cost.node_msg_ns + cost.node_ext_ns);
-    c.stats_mut().messages += 1;
-    let ptr_val = home.read_u64(ptr_off)?;
-    if ptr_val == 0 {
-        return Err(FabricError::NullDeref { pointer_at: ptr });
-    }
-    let target = FarAddr(ptr_val + index);
-    let segs = fabric.segments(target, len)?;
-    if mode == IndirectionMode::Error {
-        if let Some(remote) = segs.clone().find(|s| s.node != home_id) {
-            return Err(FabricError::IndirectRemote {
-                target,
-                target_node: remote.node,
-            });
-        }
-    }
-    let mut buf = if write.is_none() { vec![0u8; len as usize] } else { Vec::new() };
-    let mut finish = home_finish;
-    let mut done = 0usize;
-    for seg in segs {
-        let phys = c.route(seg.node);
-        let node = fabric.node(phys);
-        node.check_alive_at(arrival)?;
-        let service = cost.node_msg_ns + cost.bytes_ns(seg.len);
-        let mut f = if seg.node == home_id {
-            node.occupy(home_finish, service)
-        } else {
-            c.stats_mut().forward_hops += 1;
-            c.stats_mut().messages += 1;
-            node.occupy(arrival, service).max(home_finish) + cost.mem_hop_ns
-        };
-        match write {
-            None => node.read_bytes(seg.offset, &mut buf[done..done + seg.len as usize])?,
-            Some(data) => {
-                node.write_bytes(seg.offset, &data[done..done + seg.len as usize])?;
-                f = fabric.fire(c.stats_mut(), seg.node, seg.offset, seg.len, f);
-            }
-        }
-        done += seg.len as usize;
-        finish = finish.max(f);
-    }
-    c.observe(crate::check::AccessKind::Read, ptr, crate::addr::WORD);
-    match write {
-        None => {
-            c.stats_mut().bytes_read += len;
-            c.observe(crate::check::AccessKind::Read, target, len);
-            Ok((PipeOut::Bytes(buf), finish))
-        }
-        Some(_) => {
-            c.stats_mut().bytes_written += len;
-            c.observe(crate::check::AccessKind::Write, target, len);
-            Ok((PipeOut::Done, finish))
-        }
-    }
-}
-
-fn check_iov(iov: &[FarIov]) -> Result<u64> {
-    if iov.is_empty() {
-        return Err(FabricError::BadIovec { reason: "iovec must be non-empty" });
-    }
-    let mut total = 0u64;
-    for e in iov {
-        if e.len == 0 {
-            return Err(FabricError::BadIovec { reason: "iovec entries must be non-empty" });
-        }
-        total += e.len;
-    }
-    Ok(total)
+    })
 }
 
 #[cfg(test)]
@@ -1118,5 +924,96 @@ mod tests {
         let pback = pc.read(FarAddr(PAGE + 512), 64).unwrap();
         assert_eq!(back, vec![9u8; 64]);
         assert_eq!(pback, back);
+    }
+
+    fn two_node_forward() -> std::sync::Arc<crate::fabric::Fabric> {
+        FabricConfig {
+            nodes: 2,
+            node_capacity: 1 << 20,
+            striping: Striping::Blocked,
+            indirection: crate::fabric::IndirectionMode::Forward,
+            cost: CostModel::COUNT_ONLY,
+            ..FabricConfig::default()
+        }
+        .build()
+    }
+
+    /// A pipelined guarded `faai_swap` whose target node is down fails
+    /// before the pointer bump, exactly like the serial verb: every retry
+    /// finds the pointer where it was, so no attempt moves it.
+    #[test]
+    fn pipelined_guarded_swap_at_a_dead_target_leaves_the_pointer() {
+        let ptr = FarAddr(64);
+        let guard = FarAddr(72);
+        let target = FarAddr((1 << 20) + 4096); // node 1
+        for pipelined in [false, true] {
+            let f = two_node_forward();
+            let mut c = f.client();
+            c.write_u64(ptr, target.0).unwrap();
+            f.node(NodeId(1)).fail();
+            let err = if pipelined {
+                let mut q = c.pipeline();
+                q.faai_swap_guarded(ptr, 8, 0, guard, 0);
+                q.commit().status().unwrap_err()
+            } else {
+                c.faai_swap_guarded(ptr, 8, 0, guard, 0).unwrap_err()
+            };
+            assert_eq!(err, FabricError::NodeFailed(NodeId(1)), "pipelined: {pipelined}");
+            assert_eq!(c.read_u64(ptr).unwrap(), target.0, "pipelined: {pipelined}");
+        }
+    }
+
+    /// Records every access the checker sees.
+    #[derive(Default)]
+    struct Recorder(std::sync::Mutex<Vec<(u32, u64, u64, crate::check::AccessKind)>>);
+
+    impl crate::check::CheckObserver for Recorder {
+        fn access(&self, a: &crate::check::Access) {
+            self.0.lock().unwrap().push((a.client, a.addr.0, a.len, a.kind));
+        }
+    }
+
+    /// A one-descriptor doorbell reports the same access sequence to the
+    /// checker as its serial verb, on success and on a null pointer.
+    #[test]
+    fn indirect_descriptors_report_the_serial_verbs_accesses() {
+        let ptr = FarAddr(64);
+        let guard = FarAddr(72);
+        let data = 5u64.to_le_bytes();
+        for null in [false, true] {
+            for verb in ["load0", "load2", "store2", "faai_swap_guarded"] {
+                let run = |pipelined: bool| {
+                    let f = two_node_forward();
+                    let mut c = f.client();
+                    c.write_u64(ptr, if null { 0 } else { 4096 }).unwrap();
+                    let rec = std::sync::Arc::new(Recorder::default());
+                    f.install_check_observer(rec.clone());
+                    let ok = if pipelined {
+                        let mut q = c.pipeline();
+                        match verb {
+                            "load0" => q.load0(ptr, 8),
+                            "load2" => q.load2(ptr, 8, 16),
+                            "store2" => q.store2(ptr, 16, &data),
+                            _ => q.faai_swap_guarded(ptr, 8, 0, guard, 0),
+                        };
+                        q.commit().status().is_ok()
+                    } else {
+                        match verb {
+                            "load0" => c.load0(ptr, 8).is_ok(),
+                            "load2" => c.load2(ptr, 8, 16).is_ok(),
+                            "store2" => c.store2(ptr, 16, &data).is_ok(),
+                            _ => c.faai_swap_guarded(ptr, 8, 0, guard, 0).is_ok(),
+                        }
+                    };
+                    f.clear_check_observer();
+                    assert_eq!(ok, !null, "{verb} pipelined={pipelined}");
+                    let seen = rec.0.lock().unwrap().clone();
+                    seen
+                };
+                let serial = run(false);
+                assert!(!serial.is_empty(), "{verb}: the pointer read is observed");
+                assert_eq!(run(true), serial, "{verb} null={null}");
+            }
+        }
     }
 }

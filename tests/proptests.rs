@@ -229,9 +229,19 @@ enum VerbOp {
     Faa(usize, u64),
     WriteBytes(usize, Vec<u8>),
     ReadBytes(usize, u64),
+    Gather(Vec<(usize, u64)>),
+    Scatter(Vec<(usize, Vec<u8>)>),
+    Load2(usize, u64, u64),
+    Store2(usize, u64, Vec<u8>),
+    FaaiSwapGuarded(usize, u64, u64),
 }
 
 const VERB_SLOTS: usize = 8;
+
+/// Pointer `p`'s initial target slot. Pointers alternate between the two
+/// stripe pages like the slots, so pointers 0 and 3 point across nodes
+/// and 1 and 2 stay on their own node.
+const VERB_PTR_TARGETS: [usize; 4] = [1, 3, 0, 6];
 
 fn verb_ops() -> impl Strategy<Value = Vec<VerbOp>> {
     prop::collection::vec(
@@ -243,6 +253,20 @@ fn verb_ops() -> impl Strategy<Value = Vec<VerbOp>> {
             ((0..VERB_SLOTS), prop::collection::vec(any::<u8>(), 8..33))
                 .prop_map(|(s, b)| VerbOp::WriteBytes(s, b)),
             ((0..VERB_SLOTS), (8u64..33)).prop_map(|(s, l)| VerbOp::ReadBytes(s, l)),
+            prop::collection::vec(((0..VERB_SLOTS), (8u64..33)), 1..4).prop_map(VerbOp::Gather),
+            prop::collection::vec(
+                ((0..VERB_SLOTS), prop::collection::vec(any::<u8>(), 8..33)),
+                1..4,
+            )
+            .prop_map(VerbOp::Scatter),
+            ((0..VERB_PTR_TARGETS.len()), (0u64..25), (8u64..33))
+                .prop_map(|(p, i, l)| VerbOp::Load2(p, i, l)),
+            ((0..VERB_PTR_TARGETS.len()), (0u64..25), prop::collection::vec(any::<u8>(), 8..33))
+                .prop_map(|(p, i, b)| VerbOp::Store2(p, i, b)),
+            // Bumps of at most 16 bytes keep every target below the
+            // pointer words, however many swaps a sequence holds.
+            ((0..VERB_PTR_TARGETS.len()), (0u64..3), any::<u64>())
+                .prop_map(|(p, d, r)| VerbOp::FaaiSwapGuarded(p, d * 8, r)),
         ],
         1..40,
     )
@@ -252,6 +276,28 @@ fn verb_ops() -> impl Strategy<Value = Vec<VerbOp>> {
 /// pages, so the sequence exercises both nodes of the striped fabric.
 fn verb_slot_addr(i: usize) -> FarAddr {
     FarAddr(4096 * (1 + (i as u64 % 2)) + (i as u64 / 2) * 64)
+}
+
+/// Pointer `p`'s word, 1 KiB into its stripe page (above every target).
+fn verb_ptr_addr(p: usize) -> FarAddr {
+    FarAddr(4096 * (1 + (p as u64 % 2)) + 1024 + (p as u64 / 2) * 8)
+}
+
+/// Pointer `p`'s guard word: on the pointer's page, always 0.
+fn verb_guard_addr(p: usize) -> FarAddr {
+    FarAddr(4096 * (1 + (p as u64 % 2)) + 2048)
+}
+
+fn verb_iov(entries: &[(usize, u64)]) -> Vec<FarIov> {
+    entries.iter().map(|&(s, l)| FarIov::new(verb_slot_addr(s), l)).collect()
+}
+
+fn verb_scatter(entries: &[(usize, Vec<u8>)]) -> (Vec<FarIov>, Vec<u8>) {
+    let iov = entries
+        .iter()
+        .map(|(s, b)| FarIov::new(verb_slot_addr(*s), b.len() as u64))
+        .collect();
+    (iov, entries.iter().flat_map(|(_, b)| b.clone()).collect())
 }
 
 proptest! {
@@ -272,9 +318,16 @@ proptest! {
         }
         .build();
 
+        let setup = |c: &mut FabricClient| {
+            for (p, &t) in VERB_PTR_TARGETS.iter().enumerate() {
+                c.write_u64(verb_ptr_addr(p), verb_slot_addr(t).0).unwrap();
+            }
+        };
+
         // Serial reference.
         let f = build();
         let mut c = f.client();
+        setup(&mut c);
         let before = c.stats();
         let t0 = c.now_ns();
         let mut serial_out: Vec<Vec<u8>> = Vec::new();
@@ -292,16 +345,32 @@ proptest! {
                 }
                 VerbOp::WriteBytes(s, b) => c.write(verb_slot_addr(*s), b).unwrap(),
                 VerbOp::ReadBytes(s, l) => serial_out.push(c.read(verb_slot_addr(*s), *l).unwrap()),
+                VerbOp::Gather(e) => serial_out.push(c.rgather(&verb_iov(e)).unwrap()),
+                VerbOp::Scatter(e) => {
+                    let (iov, data) = verb_scatter(e);
+                    c.wscatter(&iov, &data).unwrap()
+                }
+                VerbOp::Load2(p, i, l) => {
+                    serial_out.push(c.load2(verb_ptr_addr(*p), *i, *l).unwrap())
+                }
+                VerbOp::Store2(p, i, b) => c.store2(verb_ptr_addr(*p), *i, b).unwrap(),
+                VerbOp::FaaiSwapGuarded(p, d, r) => {
+                    let (ptr, word) = c
+                        .faai_swap_guarded(verb_ptr_addr(*p), *d, *r, verb_guard_addr(*p), 0)
+                        .unwrap();
+                    serial_out.push([ptr.to_le_bytes(), word.to_le_bytes()].concat())
+                }
             }
         }
         let serial_ns = c.now_ns() - t0;
         let serial = c.stats().since(&before);
-        let serial_mem: Vec<Vec<u8>> =
-            (0..VERB_SLOTS).map(|s| c.read(verb_slot_addr(s), 64).unwrap()).collect();
+        // Both stripe pages whole: slots, pointer words and guards.
+        let serial_mem = c.read(verb_slot_addr(0), 2 * 4096).unwrap();
 
         // Pipelined run: the whole sequence behind one doorbell.
         let f = build();
         let mut c = f.client();
+        setup(&mut c);
         let before = c.stats();
         let t0 = c.now_ns();
         let mut q = c.pipeline();
@@ -313,6 +382,16 @@ proptest! {
                 VerbOp::Faa(s, d) => { q.faa(verb_slot_addr(*s), *d); }
                 VerbOp::WriteBytes(s, b) => { q.write(verb_slot_addr(*s), b); }
                 VerbOp::ReadBytes(s, l) => { q.read(verb_slot_addr(*s), *l); }
+                VerbOp::Gather(e) => { q.gather(&verb_iov(e)); }
+                VerbOp::Scatter(e) => {
+                    let (iov, data) = verb_scatter(e);
+                    q.scatter(&iov, &data);
+                }
+                VerbOp::Load2(p, i, l) => { q.load2(verb_ptr_addr(*p), *i, *l); }
+                VerbOp::Store2(p, i, b) => { q.store2(verb_ptr_addr(*p), *i, b); }
+                VerbOp::FaaiSwapGuarded(p, d, r) => {
+                    q.faai_swap_guarded(verb_ptr_addr(*p), *d, *r, verb_guard_addr(*p), 0);
+                }
             }
         }
         let cq = q.commit();
@@ -323,14 +402,19 @@ proptest! {
                 VerbOp::ReadWord(_) | VerbOp::Cas(..) | VerbOp::Faa(..) => {
                     pipe_out.push(out.value().to_le_bytes().to_vec())
                 }
-                VerbOp::ReadBytes(..) => pipe_out.push(out.into_bytes()),
+                VerbOp::ReadBytes(..) | VerbOp::Gather(_) | VerbOp::Load2(..) => {
+                    pipe_out.push(out.into_bytes())
+                }
+                VerbOp::FaaiSwapGuarded(..) => {
+                    let (ptr, word) = out.ptr_word();
+                    pipe_out.push([ptr.to_le_bytes(), word.to_le_bytes()].concat())
+                }
                 _ => {}
             }
         }
         let pipe_ns = c.now_ns() - t0;
         let pipe = c.stats().since(&before);
-        let pipe_mem: Vec<Vec<u8>> =
-            (0..VERB_SLOTS).map(|s| c.read(verb_slot_addr(s), 64).unwrap()).collect();
+        let pipe_mem = c.read(verb_slot_addr(0), 2 * 4096).unwrap();
 
         prop_assert_eq!(pipe_out, serial_out, "read values must match serially-executed order");
         prop_assert_eq!(pipe_mem, serial_mem, "final far memory must be identical");
@@ -339,6 +423,7 @@ proptest! {
         prop_assert_eq!(pipe.bytes_read, serial.bytes_read);
         prop_assert_eq!(pipe.bytes_written, serial.bytes_written);
         prop_assert_eq!(pipe.atomics, serial.atomics);
+        prop_assert_eq!(pipe.forward_hops, serial.forward_hops);
         prop_assert_eq!(pipe.pipelined_ops, ops.len() as u64);
         prop_assert_eq!(pipe.doorbells, 1);
         prop_assert!(pipe_ns <= serial_ns, "overlap can only shorten virtual time");
